@@ -219,8 +219,12 @@ impl DeviceTable {
         }
         let bbox = acc.bbox.expect("non-zero area implies bbox");
 
-        // Sort terminals by contact length, largest first.
-        acc.terminals.sort_unstable_by_key(|&(_, len)| -len);
+        // Sort terminals by contact length, largest first. Equal
+        // lengths fall back to output net order — the order of first
+        // appearance in the sweep, which the band stitch reproduces —
+        // so source and drain do not depend on union-find roots.
+        acc.terminals
+            .sort_unstable_by_key(|&(h, len)| (-len, net_map[h as usize]));
         *multi_terminal = acc.terminals.len() > 2;
 
         let gate_handle = acc.gate.unwrap_or_else(|| {

@@ -550,7 +550,9 @@ mod tests {
     }
 
     #[test]
-    fn window_mode_details_align_with_devices() {
+    fn window_mode_details_cover_only_partial_devices() {
+        // A window holding the whole transistor: the device is
+        // complete, so the window output carries no detail for it.
         let src = "
             L ND; B 400 1600 0 0;
             L NP; B 1600 400 0 0;
@@ -558,12 +560,26 @@ mod tests {
         let window = Rect::new(-800, -800, 800, 800);
         let r = extract_text(src, ExtractOptions::new().with_window(window)).unwrap();
         let w = r.window.as_ref().unwrap();
-        assert_eq!(w.device_details.len(), r.netlist.device_count());
+        assert_eq!(r.netlist.device_count(), 1);
+        assert!(w.device_details.is_empty());
+
+        // The lower half of the same transistor, clipped at y = 0 the
+        // way a band is: the channel touches the top face, so the
+        // device is partial and its detail names it.
+        let src = "
+            L ND; B 400 800 0 -400;
+            L NP; B 1600 200 0 -100;
+            E";
+        let window = Rect::new(-800, -800, 800, 0);
+        let r = extract_text(src, ExtractOptions::new().with_window(window)).unwrap();
+        let w = r.window.as_ref().unwrap();
+        assert_eq!(w.device_details.len(), 1);
         let detail = &w.device_details[0];
-        assert_eq!(detail.area, 400 * 400);
-        assert!(!detail.partial);
-        assert_eq!(detail.terminals.len(), 2);
+        assert_eq!(detail.device, 0);
+        assert_eq!(detail.area, 400 * 200);
+        assert_eq!(detail.terminals.len(), 1);
         assert_eq!(detail.gate, r.netlist.devices()[0].gate);
+        assert_eq!(w.partial_device_indexes(), vec![0]);
     }
 
     #[test]

@@ -83,6 +83,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -91,16 +92,18 @@ use ace_layout::{
     band_cuts, partition_bands, route_box, route_label, DiffError, EagerFeed, FlatLabel,
     FlatLayout, LayerBox, LayoutDiff,
 };
+use ace_wirelist::{Device, Net, NetId};
 
 use crate::backend::CircuitExtractor;
 use crate::extract::{ExtractError, Extraction};
 use std::sync::Mutex;
 
-use crate::parallel::stitch;
+use crate::parallel::{record_stitch, stitch};
 use crate::probe::{Counter, CounterProbe, Lane, Probe, Span};
 use crate::report::ExtractOptions;
 use crate::scheduler::run_jobs;
 use crate::sweep::Extractor;
+use crate::window::{BoundaryContact, DeviceDetail};
 
 /// Outer window bound for the bottom and top bands: far beyond any
 /// coordinate a real layout reaches, so band windows are independent
@@ -473,30 +476,21 @@ impl CircuitExtractor for IncrementalExtractor {
         // Stitch cached and fresh band results alike into the full
         // circuit (same code path as the band-parallel extractor).
         p.enter(Lane::MAIN, Span::Stitch);
-        let refs: Vec<&Extraction> = self
+        let bands = self
             .cache
             .iter()
-            .map(|slot| &slot.as_ref().expect("every band cached").result)
+            .map(|slot| Cow::Borrowed(&slot.as_ref().expect("every band cached").result))
             .collect();
-        let (mut netlist, stats, seam_unresolved) =
-            stitch(&refs, &self.cuts, &self.seam_labels, self.options);
-        netlist.name = name.to_string();
+        let (netlist, stats, seam_unresolved) = stitch(
+            bands,
+            name,
+            &self.cuts,
+            &self.seam_labels,
+            self.options,
+            workers,
+        );
         p.exit(Lane::MAIN, Span::Stitch);
-        p.add(Lane::MAIN, Counter::SeamContacts, stats.seam_contacts);
-        p.add(Lane::MAIN, Counter::PairsMatched, stats.pairs_matched);
-        p.add(Lane::MAIN, Counter::SeamNetUnions, stats.net_unions);
-        p.add(Lane::MAIN, Counter::DeviceMerges, stats.device_merges);
-        p.add(
-            Lane::MAIN,
-            Counter::TerminalContacts,
-            stats.terminal_contacts,
-        );
-        p.add(
-            Lane::MAIN,
-            Counter::PartialsCompleted,
-            stats.partials_completed,
-        );
-        p.add(Lane::MAIN, Counter::UnresolvedLabels, seam_unresolved);
+        record_stitch(p, &stats, seam_unresolved);
         p.exit(Lane::MAIN, Span::Extract);
 
         let mut report = counters.report();
@@ -532,29 +526,32 @@ fn flat_hash(flat: &FlatLayout) -> u64 {
     h.finish()
 }
 
-/// Rough heap footprint of one cached band extraction. An estimate
-/// for the cache-bytes gauge, not an allocator-exact measure: devices
-/// and rects by `size_of`, nets by name bytes plus a fixed per-record
-/// overhead.
+/// Heap footprint of one cached band extraction, estimated from what
+/// it holds: every net and device record with its names, geometry and
+/// channel boxes, and the window interface — the boundary contacts and
+/// the details window mode keeps for partial and exposed devices only.
+/// An estimate for the cache-bytes gauge and the `aced` evictor, not
+/// an allocator-exact measure (vector slack is not counted).
 fn extraction_bytes(e: &Extraction) -> u64 {
     use std::mem::size_of;
     let mut bytes = size_of::<Extraction>();
     for d in e.netlist.devices() {
-        bytes += size_of::<ace_wirelist::Device>();
-        bytes += d.channel_geometry.len() * size_of::<Rect>();
+        bytes += size_of::<Device>() + d.channel_geometry.len() * size_of::<Rect>();
     }
     for (_, net) in e.netlist.nets() {
-        bytes += 64; // per-net record overhead
+        bytes += size_of::<Net>();
         bytes += net
             .names
             .iter()
             .map(|s| s.len() + size_of::<String>())
             .sum::<usize>();
-        bytes += net.geometry.len() * (size_of::<Layer>() + size_of::<Rect>());
+        bytes += net.geometry.len() * size_of::<(Layer, Rect)>();
     }
     if let Some(w) = &e.window {
-        bytes += w.contacts.len() * size_of::<crate::window::BoundaryContact>();
-        bytes += w.device_details.len() * 96;
+        bytes += w.contacts.len() * size_of::<BoundaryContact>();
+        for d in w.device_details.iter().chain(&w.exposed_devices) {
+            bytes += size_of::<DeviceDetail>() + d.terminals.len() * size_of::<(NetId, Coord)>();
+        }
     }
     bytes as u64
 }
@@ -762,6 +759,36 @@ mod tests {
         assert_eq!(r.report.cache_bytes, inc.cache_bytes());
         assert_eq!(probe.take_report().cache_bytes, inc.cache_bytes());
         assert_matches_full(&mut inc);
+    }
+
+    /// The cache estimate must cover the records the bands really
+    /// hold — at least every output net and device, whole — and charge
+    /// window details only for the seam's few partial and exposed
+    /// devices, not a detail per device.
+    #[test]
+    fn cache_bytes_counts_every_record_and_only_the_seam_details() {
+        use std::mem::size_of;
+
+        // A 24×24 mesh: poly rows crossing diffusion columns.
+        let mut mesh = FlatLayout::new();
+        for i in 0..24 {
+            let at = i * 1000;
+            mesh.push_box(Layer::Poly, Rect::new(-1000, at, 24_000, at + 500));
+            mesh.push_box(Layer::Diffusion, Rect::new(at, -1000, at + 500, 24_000));
+        }
+        let mut inc = IncrementalExtractor::new(mesh, 2);
+        let out = inc.extract("mesh").expect("extraction");
+        let records = out.netlist.net_count() * size_of::<Net>()
+            + out.netlist.device_count() * size_of::<Device>();
+        let bytes = inc.cache_bytes() as usize;
+        assert!(
+            bytes >= records,
+            "{bytes} bytes estimated for {records} bytes of records"
+        );
+        assert!(
+            bytes <= records + records / 4,
+            "{bytes} bytes estimated: window output no slimmer than {records} bytes of records"
+        );
     }
 
     #[test]

@@ -1,10 +1,8 @@
-use std::collections::HashMap;
-
 use ace_geom::{Coord, Interval, IntervalMap, IntervalSet, Layer, LayerMap, Point, Rect};
 use ace_layout::{FlatLabel, GeometryFeed, LayerBox};
-use ace_wirelist::{NetId, Netlist};
+use ace_wirelist::{Device, NetId, Netlist};
 
-use crate::devices::DeviceTable;
+use crate::devices::{DeviceAccumulator, DeviceTable};
 use crate::extract::Extraction;
 use crate::nets::NetTable;
 use crate::probe::{Counter, CounterProbe, Lane, NullProbe, Probe, Span};
@@ -13,7 +11,9 @@ use crate::strip::{
     abutting, find_containing, overlap_pairs_into, overlapping, Fragment, StripCoverage,
     StripFragments,
 };
-use crate::window::{BoundaryContact, BoundarySignal, DeviceDetail, Face, WindowExtraction};
+use crate::window::{
+    device_order, permute, BoundaryContact, BoundarySignal, DeviceDetail, Face, WindowExtraction,
+};
 
 /// One incoming box, reduced to what the active list stores: its x
 /// extent and its bottom edge.
@@ -128,7 +128,7 @@ impl<'p> Extractor<'p> {
             probe,
             counters: CounterProbe::new(),
             nets: NetTable::new(options.geometry_output),
-            devices: DeviceTable::new(options.geometry_output || options.window.is_some()),
+            devices: DeviceTable::new(options.geometry_output),
             active: LayerMap::default(),
             max_bottom: LayerMap::from_fn(|_| Coord::MIN),
             raw_contacts: Vec::new(),
@@ -665,7 +665,10 @@ impl<'p> Extractor<'p> {
             netlist.add_parasitics(id, &data.parasitics);
         }
 
-        // Which devices are partial (window mode)?
+        // Partial devices (window mode only: the raw contacts are
+        // empty otherwise): roots of the channels touching the
+        // boundary, sorted for binary search, and the device index
+        // each one finalized to.
         let mut partial_roots: Vec<u32> = self
             .raw_contacts
             .iter()
@@ -675,10 +678,29 @@ impl<'p> Extractor<'p> {
         for r in &mut partial_roots {
             *r = self.devices.find(*r);
         }
+        partial_roots.sort_unstable();
+        partial_roots.dedup();
+        let mut partial_devices = vec![usize::MAX; partial_roots.len()];
+        // Output ids of the nets touching the boundary.
+        let mut boundary_nets: Vec<u32> = self
+            .raw_contacts
+            .iter()
+            .filter(|c| !c.is_channel)
+            .map(|c| net_map[c.handle as usize])
+            .collect();
+        boundary_nets.sort_unstable();
+        boundary_nets.dedup();
 
-        // Finalize devices in ascending root order.
-        let mut device_index_by_root: HashMap<u32, usize> = HashMap::new();
-        let mut details = Vec::new();
+        // Finalize devices in ascending root order. Window mode then
+        // lists the complete devices in stitch order (see
+        // `device_key`) followed by the partial and exposed ones, so a
+        // stitch merges band outputs without sorting them and finishes
+        // the tail itself; flat output keeps root order.
+        let window_mode = self.options.window.is_some();
+        let mut held: Vec<Device> = Vec::new();
+        // (held index, accumulator, partial slot or `usize::MAX`) of
+        // each partial or exposed device.
+        let mut flagged: Vec<(u32, DeviceAccumulator, usize)> = Vec::new();
         for root in self.devices.roots() {
             let mut multi = false;
             let Some((device, acc)) =
@@ -690,23 +712,60 @@ impl<'p> Extractor<'p> {
             if multi {
                 self.count(Counter::MultiTerminalDevices, 1);
             }
-            let index = netlist.device_count();
-            device_index_by_root.insert(root, index);
-            if self.options.window.is_some() {
-                details.push(DeviceDetail {
-                    area: acc.area,
-                    bbox: acc.bbox.expect("finalized device has bbox"),
-                    depletion: acc.depletion,
-                    terminals: acc
-                        .terminals
-                        .iter()
-                        .map(|&(h, len)| (NetId(net_map[self.nets.find(h) as usize]), len))
-                        .collect(),
-                    gate: device.gate,
-                    partial: partial_roots.contains(&root),
-                });
+            if !window_mode {
+                netlist.add_device(device);
+                continue;
             }
-            netlist.add_device(device);
+            let partial = partial_roots.binary_search(&root).unwrap_or(usize::MAX);
+            let exposed = acc.terminals.len() >= 2
+                && acc
+                    .terminals
+                    .iter()
+                    .any(|&(h, _)| boundary_nets.binary_search(&net_map[h as usize]).is_ok());
+            if partial != usize::MAX || exposed {
+                flagged.push((held.len() as u32, acc, partial));
+            }
+            held.push(device);
+        }
+
+        let mut is_flagged = vec![false; held.len()];
+        for &(i, _, _) in &flagged {
+            is_flagged[i as usize] = true;
+        }
+        let (mut order, tail): (Vec<u32>, Vec<u32>) = device_order(&held)
+            .into_iter()
+            .partition(|&i| !is_flagged[i as usize]);
+        let complete = order.len();
+        order.extend(tail);
+        let mut details = Vec::new();
+        let mut exposed = Vec::new();
+        for (index, &i) in order.iter().enumerate().skip(complete) {
+            let k = flagged
+                .binary_search_by_key(&i, |f| f.0)
+                .expect("tail devices are flagged");
+            let (_, acc, partial) = &mut flagged[k];
+            let list = if *partial == usize::MAX {
+                &mut exposed
+            } else {
+                partial_devices[*partial] = index;
+                &mut details
+            };
+            list.push(DeviceDetail {
+                device: index,
+                area: acc.area,
+                bbox: acc.bbox.expect("finalized device has bbox"),
+                depletion: acc.depletion,
+                terminals: std::mem::take(&mut acc.terminals)
+                    .into_iter()
+                    .map(|(h, len)| (NetId(net_map[h as usize]), len))
+                    .collect(),
+                gate: held[i as usize].gate,
+            });
+        }
+        if window_mode {
+            permute(&mut held, order);
+            let (nets, _) = netlist.into_parts();
+            netlist = Netlist::from_parts(name.to_string(), nets, held);
         }
 
         self.note_unions();
@@ -718,7 +777,12 @@ impl<'p> Extractor<'p> {
                 .filter_map(|raw| {
                     let signal = if raw.is_channel {
                         let root = self.devices.find(raw.handle);
-                        BoundarySignal::Channel(*device_index_by_root.get(&root)?)
+                        let k = partial_roots.binary_search(&root).ok()?;
+                        let index = partial_devices[k];
+                        if index == usize::MAX {
+                            return None; // a zero-area channel: no device
+                        }
+                        BoundarySignal::Channel(index)
                     } else {
                         BoundarySignal::Net(NetId(net_map[self.nets.find(raw.handle) as usize]))
                     };
@@ -735,6 +799,7 @@ impl<'p> Extractor<'p> {
                 window: rect,
                 contacts,
                 device_details: details,
+                exposed_devices: exposed,
             }
         });
 

@@ -1,5 +1,5 @@
-use ace_geom::{Coord, Interval, Layer, Rect};
-use ace_wirelist::NetId;
+use ace_geom::{Coord, Interval, Layer, Point, Rect};
+use ace_wirelist::{Device, DeviceKind, NetId};
 
 /// A face of a rectangular window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,11 +57,14 @@ pub struct BoundaryContact {
     pub signal: BoundarySignal,
 }
 
-/// Raw per-device accumulator data exposed in window mode so the
-/// hierarchical extractor can merge partial transistors and recompute
-/// length/width after composition.
+/// Raw accumulator data of one partial transistor — a device whose
+/// channel touches the window boundary — exposed in window mode so the
+/// hierarchical extractor and the band stitch can merge it with its
+/// neighbours' fragments and recompute length/width afterwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceDetail {
+    /// Index of the device in the window netlist's device list.
+    pub device: usize,
     /// Total channel area inside this window.
     pub area: i64,
     /// Channel bounding box.
@@ -73,13 +76,15 @@ pub struct DeviceDetail {
     pub terminals: Vec<(NetId, Coord)>,
     /// Gate net.
     pub gate: NetId,
-    /// `true` if the channel touches the window boundary (a partial
-    /// transistor whose final form depends on the neighbours).
-    pub partial: bool,
 }
 
 /// Extra results produced when extracting with
 /// [`crate::ExtractOptions::with_window`].
+///
+/// A window-mode netlist lists its devices in a fixed order: first the
+/// complete devices without an exposed terminal, sorted by location,
+/// kind, length, width, gate, source and drain; then the partial and
+/// exposed devices, sorted the same way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowExtraction {
     /// The window rectangle.
@@ -87,9 +92,18 @@ pub struct WindowExtraction {
     /// All boundary contacts, grouped by nothing in particular;
     /// consumers filter by face.
     pub contacts: Vec<BoundaryContact>,
-    /// Per-device raw data, aligned with the window netlist's device
-    /// list.
+    /// Raw data of the partial devices, in ascending device index.
+    /// Devices the boundary does not cut are complete as listed in
+    /// the netlist and have no entry, so the window output costs what
+    /// the boundary costs, not what the whole device list costs.
     pub device_details: Vec<DeviceDetail>,
+    /// Raw data of the complete devices that have two or more
+    /// terminals, one of them on a net touching the boundary, in
+    /// ascending device index. Joins outside the window can still
+    /// merge such a device's terminal nets or reorder its
+    /// equal-length ones, so a stitch re-finalizes it from this data
+    /// once the nets are joined.
+    pub exposed_devices: Vec<DeviceDetail>,
 }
 
 impl WindowExtraction {
@@ -107,12 +121,63 @@ impl WindowExtraction {
 
     /// Indexes of devices whose channel touches the boundary.
     pub fn partial_device_indexes(&self) -> Vec<usize> {
-        self.device_details
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.partial)
-            .map(|(i, _)| i)
-            .collect()
+        self.device_details.iter().map(|d| d.device).collect()
+    }
+}
+
+/// The order stitched netlists list devices in: by location, kind,
+/// length and width, then gate, source and drain. Window-mode
+/// extractions list their complete devices in this order too (by their
+/// own net ids), ahead of the partial and exposed ones, so a stitch
+/// merges band outputs instead of sorting them.
+type DeviceKey = (Point, DeviceKind, Coord, Coord, NetId, NetId, NetId);
+
+pub(crate) fn device_key(d: &Device) -> DeviceKey {
+    (
+        d.location, d.kind, d.length, d.width, d.gate, d.source, d.drain,
+    )
+}
+
+/// Indices of `devices` in [`device_key`] order, equal keys in index
+/// order.
+pub(crate) fn device_order(devices: &[Device]) -> Vec<u32> {
+    // Locations rarely tie, so sort compact (location, index) pairs
+    // and compare whole keys only within runs of equal locations.
+    let mut order: Vec<(Point, u32)> = devices
+        .iter()
+        .enumerate()
+        .map(|(i, d)| (d.location, i as u32))
+        .collect();
+    order.sort_unstable();
+    let mut run = 0;
+    while run < order.len() {
+        let at = order[run].0;
+        let end = run + order[run..].iter().take_while(|&&(p, _)| p == at).count();
+        order[run..end].sort_unstable_by(|&(_, a), &(_, b)| {
+            let (da, db) = (&devices[a as usize], &devices[b as usize]);
+            device_key(da).cmp(&device_key(db)).then(a.cmp(&b))
+        });
+        run = end;
+    }
+    order.into_iter().map(|(_, i)| i).collect()
+}
+
+/// Reorders `items` so that position `i` holds the item that was at
+/// `order[i]`, moving each item once.
+pub(crate) fn permute<T>(items: &mut [T], mut order: Vec<u32>) {
+    // Walk each cycle of the permutation once, marking finished
+    // positions as fixed points.
+    for start in 0..order.len() {
+        let mut at = start;
+        while order[at] as usize != at {
+            let from = order[at] as usize;
+            order[at] = at as u32;
+            if from == start {
+                break;
+            }
+            items.swap(at, from);
+            at = from;
+        }
     }
 }
 
@@ -120,6 +185,29 @@ impl WindowExtraction {
 mod tests {
     use super::*;
     use ace_geom::Point;
+
+    #[test]
+    fn permute_moves_each_item_to_its_slot() {
+        let mut items = vec!['a', 'b', 'c', 'd', 'e'];
+        permute(&mut items, vec![3, 0, 4, 1, 2]);
+        assert_eq!(items, vec!['d', 'a', 'e', 'b', 'c']);
+    }
+
+    #[test]
+    fn device_order_sorts_by_key_and_keeps_ties_in_place() {
+        let device = |x, gate| Device {
+            kind: DeviceKind::Enhancement,
+            gate: NetId(gate),
+            source: NetId(0),
+            drain: NetId(0),
+            length: 1,
+            width: 1,
+            location: Point::new(x, 0),
+            channel_geometry: vec![],
+        };
+        let devices = vec![device(5, 0), device(1, 2), device(1, 1), device(5, 0)];
+        assert_eq!(device_order(&devices), vec![2, 1, 0, 3]);
+    }
 
     #[test]
     fn opposite_faces() {
@@ -155,13 +243,14 @@ mod tests {
                 },
             ],
             device_details: vec![DeviceDetail {
+                device: 0,
                 area: 4,
                 bbox: Rect::new(10, 90, 20, 100),
                 depletion: false,
                 terminals: vec![],
                 gate: NetId(0),
-                partial: true,
             }],
+            exposed_devices: vec![],
         };
         let top = w.face_contacts(Face::Top);
         assert_eq!(top.len(), 2);

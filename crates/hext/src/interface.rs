@@ -140,18 +140,18 @@ pub fn window_circuit_from_extraction(
     // Split devices into completed (stay in the part) and partial.
     let mut partials: Vec<PartialDevice> = Vec::new();
     let mut partial_index: Vec<Option<u32>> = vec![None; netlist.device_count()];
-    for (i, device) in netlist.devices().iter().enumerate() {
-        let detail = &window.device_details[i];
-        if detail.partial {
-            partial_index[i] = Some(partials.len() as u32);
-            partials.push(PartialDevice {
-                area: detail.area,
-                bbox: detail.bbox,
-                depletion: detail.depletion,
-                gate: detail.gate.0,
-                terminals: detail.terminals.iter().map(|&(n, l)| (n.0, l)).collect(),
-            });
-        } else {
+    for detail in &window.device_details {
+        partial_index[detail.device] = Some(partials.len() as u32);
+        partials.push(PartialDevice {
+            area: detail.area,
+            bbox: detail.bbox,
+            depletion: detail.depletion,
+            gate: detail.gate.0,
+            terminals: detail.terminals.iter().map(|&(n, l)| (n.0, l)).collect(),
+        });
+    }
+    for (device, partial) in netlist.devices().iter().zip(&partial_index) {
+        if partial.is_none() {
             part.devices.push(device.clone());
         }
     }

@@ -171,6 +171,31 @@ impl Netlist {
         Netlist::default()
     }
 
+    /// Assembles a netlist from nets and devices already in id order,
+    /// moving them in rather than adding them one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if a terminal references a missing net.
+    pub fn from_parts(name: String, nets: Vec<Net>, devices: Vec<Device>) -> Self {
+        debug_assert!(devices.iter().all(|d| {
+            [d.gate, d.source, d.drain]
+                .iter()
+                .all(|n| (n.0 as usize) < nets.len())
+        }));
+        Netlist {
+            nets,
+            devices,
+            name,
+        }
+    }
+
+    /// Splits the netlist into its nets and devices (the inverse of
+    /// [`Netlist::from_parts`]).
+    pub fn into_parts(self) -> (Vec<Net>, Vec<Device>) {
+        (self.nets, self.devices)
+    }
+
     /// Adds a fresh, unnamed net.
     pub fn add_net(&mut self) -> NetId {
         self.nets.push(Net::default());

@@ -44,7 +44,9 @@ impl PartialDevice {
                 false
             }
         });
-        terminals.sort_unstable_by_key(|&(_, len)| -len);
+        // Longest first; equal lengths in net order, as the flat
+        // extractor breaks them.
+        terminals.sort_unstable_by_key(|&(net, len)| (-len, net));
 
         let gate = NetId(self.gate);
         let (kind, source, drain, width) = match terminals.len() {

@@ -3,10 +3,13 @@
 //! sequential flat sweep, on every workload family and on devices,
 //! contacts, and labels deliberately straddling band seams.
 
+use std::collections::HashMap;
+
 use ace::core::{extract_banded, extract_flat, ExtractOptions, Extraction};
-use ace::geom::{Layer, Rect, LAMBDA};
+use ace::geom::{union_area, Layer, Rect, LAMBDA};
 use ace::layout::{FlatLayout, Library};
 use ace::wirelist::compare::same_circuit;
+use ace::wirelist::{parse_wirelist, write_wirelist, Net, NetId, Netlist, WirelistOptions};
 use ace::workloads::bhh::{bhh_cif, BhhParams};
 use ace::workloads::chips::{generate_chip, paper_chip};
 use ace::workloads::mesh::mesh_cif;
@@ -231,6 +234,203 @@ fn geometry_output_survives_banding() {
     // The merged channel geometry covers the whole 400×400 channel.
     let area: i64 = d.channel_geometry.iter().map(Rect::area).sum();
     assert_eq!(area, 400 * 400);
+}
+
+/// The device-forced net correspondence with source and drain *not*
+/// interchangeable: banded extraction must pick them exactly as the
+/// flat sweep does, not merely some isomorphic orientation.
+fn oriented_net_map(seq: &Netlist, par: &Netlist, what: &str) -> HashMap<NetId, NetId> {
+    assert_eq!(
+        seq.device_count(),
+        par.device_count(),
+        "{what}: device count"
+    );
+    let order = |nl: &Netlist| {
+        let mut order: Vec<usize> = (0..nl.device_count()).collect();
+        order.sort_by_key(|&i| {
+            let d = &nl.devices()[i];
+            (d.location, d.kind, d.length, d.width)
+        });
+        order
+    };
+    let mut map = HashMap::new();
+    let mut back = HashMap::new();
+    for (i, j) in order(seq).into_iter().zip(order(par)) {
+        let (a, b) = (&seq.devices()[i], &par.devices()[j]);
+        assert_eq!(
+            (a.location, a.kind, a.length, a.width),
+            (b.location, b.kind, b.length, b.width),
+            "{what}: unmatched device"
+        );
+        for (x, y) in [(a.gate, b.gate), (a.source, b.source), (a.drain, b.drain)] {
+            assert_eq!(
+                *map.entry(x).or_insert(y),
+                y,
+                "{what}: {x} at {}",
+                a.location
+            );
+            assert_eq!(
+                *back.entry(y).or_insert(x),
+                x,
+                "{what}: {y} at {}",
+                a.location
+            );
+        }
+    }
+    map
+}
+
+/// `true` when two rectangle sets cover the same region.
+fn same_region(a: &[Rect], b: &[Rect]) -> bool {
+    let both: Vec<Rect> = a.iter().chain(b).copied().collect();
+    let area = union_area(a);
+    area == union_area(b) && area == union_area(&both)
+}
+
+fn layer_rects(net: &Net, layer: Layer) -> Vec<Rect> {
+    net.geometry
+        .iter()
+        .filter(|(l, _)| *l == layer)
+        .map(|&(_, r)| r)
+        .collect()
+}
+
+/// A net's data apart from its id and geometry decomposition.
+fn net_summary(net: &Net) -> impl Ord + std::fmt::Debug {
+    let mut names = net.names.clone();
+    names.sort();
+    let areas: Vec<i64> = [Layer::Metal, Layer::Poly, Layer::Diffusion]
+        .iter()
+        .map(|&l| union_area(&layer_rects(net, l)))
+        .collect();
+    (net.location, names, net.parasitics, areas)
+}
+
+/// Writes the flat and the K-band extraction as wirelists with
+/// geometry and parasitics, parses both back, and checks they describe
+/// one circuit: oriented devices with the same channel regions, and
+/// nets with the same names, locations, parasitic totals and
+/// per-layer regions (banding may cut a net's rectangles at a seam,
+/// so regions are compared, not rectangle lists).
+fn assert_same_wirelist(flat: &FlatLayout, what: &str, threads: usize) {
+    let opts = ExtractOptions::new().with_geometry();
+    let written = WirelistOptions::new().with_geometry().with_parasitics();
+    let wirelist = |options: ExtractOptions| {
+        let ex = extract_flat(flat.clone(), what, options).expect("extraction");
+        parse_wirelist(&write_wirelist(&ex.netlist, written)).expect("wirelist parses")
+    };
+    let seq = wirelist(opts);
+    let par = wirelist(opts.with_threads(threads));
+    let what = format!("{what} (K={threads})");
+    same_circuit(&seq, &par).unwrap_or_else(|d| panic!("{what}: {d}"));
+    assert_eq!(seq.net_count(), par.net_count(), "{what}: net count");
+
+    let map = oriented_net_map(&seq, &par, &what);
+    let by_location = |nl: &Netlist| -> HashMap<_, Vec<Rect>> {
+        nl.devices()
+            .iter()
+            .map(|d| {
+                (
+                    (d.location, d.kind, d.length, d.width),
+                    d.channel_geometry.clone(),
+                )
+            })
+            .collect()
+    };
+    let channels = by_location(&par);
+    for (key, rects) in by_location(&seq) {
+        assert!(!rects.is_empty(), "{what}: channel geometry missing");
+        assert!(
+            same_region(&rects, &channels[&key]),
+            "{what}: channel at {}",
+            key.0
+        );
+    }
+    for (x, y) in &map {
+        let (a, b) = (seq.net(*x), par.net(*y));
+        assert_eq!(a.location, b.location, "{what}: location of {x}");
+        assert_eq!(a.names, b.names, "{what}: names of {x}");
+        assert_eq!(a.parasitics, b.parasitics, "{what}: parasitics of {x}");
+        for layer in [Layer::Metal, Layer::Poly, Layer::Diffusion] {
+            assert!(
+                same_region(&layer_rects(a, layer), &layer_rects(b, layer)),
+                "{what}: {layer:?} region of {x}"
+            );
+        }
+    }
+    // Nets no device reaches (isolated wiring) have no forced
+    // partner; they must still agree as a multiset.
+    let summaries = |nl: &Netlist| {
+        let mut all: Vec<_> = nl.nets().map(|(_, net)| net_summary(net)).collect();
+        all.sort();
+        all
+    };
+    assert_eq!(summaries(&seq), summaries(&par), "{what}: net data");
+}
+
+#[test]
+fn mesh_wirelist_with_geometry_and_parasitics_survives_banding() {
+    let flat = flat_of(&mesh_cif(12));
+    for threads in [2, 3, 4] {
+        assert_same_wirelist(&flat, "mesh-12", threads);
+    }
+}
+
+#[test]
+fn chip_wirelist_with_geometry_and_parasitics_survives_banding() {
+    let chip = generate_chip(paper_chip("cherry").expect("spec"));
+    let flat = flat_of(&chip.cif);
+    for threads in [2, 3, 4] {
+        assert_same_wirelist(&flat, "cherry", threads);
+    }
+}
+
+/// Regression (delta-debugged from scheme81 seed 29): the seam at
+/// y = 1000 cuts a channel whose two equal-length terminals lie in
+/// different bands. The stitch once numbered them bottom band first
+/// and so put source and drain the other way round from the flat
+/// sweep, which breaks the tie by first appearance; with structurally
+/// symmetric terminals `same_circuit` could not line the netlists up.
+#[test]
+fn seam_cut_transistor_keeps_the_flat_source_and_drain() {
+    let flat = flat_of(include_str!(
+        "../conformance/corpus/regress-banded-seam-orientation.cif"
+    ));
+    let seq = extract_flat(flat.clone(), "orientation", ExtractOptions::new()).expect("flat");
+    let par = check_cuts(&flat, "orientation", &[1000]);
+    assert!(
+        par.report.stitch.terminal_contacts >= 1,
+        "seam cuts a channel"
+    );
+    oriented_net_map(&seq.netlist, &par.netlist, "orientation");
+}
+
+/// A complete transistor in the lower band whose source and drain
+/// join only through the band above: the stitch must re-finalize it
+/// as the flat sweep does — one distinct terminal, so a capacitor over
+/// the summed edge — not keep the band's two-terminal transistor.
+#[test]
+fn terminals_joined_across_a_seam_refinalize_the_device() {
+    // A transistor whose two diffusion ends are contacted to metal
+    // straps that meet only in the bar above the seam at y = 2600.
+    let src = "
+        L ND; B 400 2000 0 0;
+        L NP; B 1600 400 0 0;
+        L NC; B 200 200 0 800;
+        L NC; B 200 200 0 -800;
+        L NM; B 800 200 -300 800;
+        L NM; B 200 2100 -600 1750;
+        L NM; B 1400 200 0 2700;
+        L NM; B 200 3700 600 950;
+        L NM; B 800 200 300 -800;
+        E";
+    let flat = flat_of(src);
+    let seq = extract_flat(flat.clone(), "joined", ExtractOptions::new()).expect("flat");
+    let par = check_cuts(&flat, "joined", &[2600]);
+    let d = &par.netlist.devices()[0];
+    assert_eq!(d.kind, ace::wirelist::DeviceKind::Capacitor);
+    assert_eq!((d.length, d.width), (200, 800));
+    oriented_net_map(&seq.netlist, &par.netlist, "joined");
 }
 
 #[test]
