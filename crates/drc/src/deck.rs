@@ -18,11 +18,22 @@
 //! takes an inner layer, a `+`-joined union of outer layers, and the
 //! required margin on every side; `extend` takes the crossing layer
 //! pair and the margin the union must cover past each crossing.
+//! Every dimension is a positive integer no larger than
+//! [`MAX_DIMENSION`].
 
 use std::error::Error;
 use std::fmt;
 
 use ace_geom::{Coord, Layer};
+
+/// Largest dimension a rule may carry: 2²⁴ centimicrons (about
+/// 168 m), far past any mask feature.
+///
+/// A check inflates geometry by at most twice a rule's dimension, so
+/// under this bound every inflated coordinate, and every uncovered
+/// area, of a layout that fits in a 2³¹-centimicron square stays
+/// inside `i64`. [`RuleDeck::parse`] rejects anything larger.
+pub const MAX_DIMENSION: Coord = 1 << 24;
 
 /// One declarative design rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,12 +190,12 @@ impl RuleDeck {
             let layer = |name: &str| {
                 Layer::from_cif_name(name).ok_or_else(|| err(format!("unknown layer `{name}`")))
             };
-            let margin = |value: &str| {
-                value
-                    .parse::<Coord>()
-                    .ok()
-                    .filter(|&v| v > 0)
-                    .ok_or_else(|| err(format!("`{value}` is not a positive dimension")))
+            let margin = |value: &str| match value.parse::<Coord>() {
+                Ok(v) if v > MAX_DIMENSION => Err(err(format!(
+                    "dimension {v} exceeds the maximum of {MAX_DIMENSION}"
+                ))),
+                Ok(v) if v > 0 => Ok(v),
+                _ => Err(err(format!("`{value}` is not a positive dimension"))),
             };
             match keyword {
                 "deck" => {
@@ -342,6 +353,26 @@ mod tests {
             let err = RuleDeck::parse(&format!("deck t\n{text}\n")).unwrap_err();
             assert_eq!(err.line, 2, "{text}");
             assert!(err.to_string().contains(needle), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn dimensions_above_the_bound_are_rejected() {
+        let at_bound = format!("width NM {MAX_DIMENSION}\n");
+        assert!(RuleDeck::parse(&at_bound).is_ok());
+        // Parsed, the first two overflowed `Rect::inflate` in the checker.
+        for text in [
+            "enclose NC NM 4611686018427387904",
+            "width NM 9223372036854775000",
+            "space NP 16777217",
+            "extend NP ND 9223372036854775807",
+        ] {
+            let err = RuleDeck::parse(&format!("deck t\n{text}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{text}");
+            assert!(
+                err.message.contains("exceeds the maximum of 16777216"),
+                "{text}: {err}"
+            );
         }
     }
 }

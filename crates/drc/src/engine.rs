@@ -6,22 +6,44 @@
 //!   sorted list of structured [`Violation`]s.
 //! * [`check`] — the same, rendered to [`ace_lint::Diagnostic`]s with
 //!   a [`LintConfig`]'s severity overrides applied.
-//! * [`check_extraction`] — timed and reported: bumps the
-//!   [`Counter::DrcViolations`] / [`Counter::DrcTimeNs`] probe
-//!   counters and folds both into the extraction's
-//!   [`ace_core::ExtractionReport`].
+//! * [`check_extraction`] — timed and reported: runs inside a
+//!   [`Span::Drc`], bumps the [`Counter::DrcViolations`] /
+//!   [`Counter::DrcTimeNs`] probe counters and folds both into the
+//!   extraction's [`ace_core::ExtractionReport`].
 //!
 //! Every check reduces each layer to its *canonical cover* (the
 //! decomposition-invariant maximal-strip form of
 //! [`ace_geom::merge_boxes`]) before measuring anything, so the
 //! violation list depends only on the drawn point sets — never on how
 //! the artwork was fractured into boxes.
+//!
+//! # Cost
+//!
+//! A check costs what the layout costs, not the square of it:
+//!
+//! * Each layer's cover is merged once per [`check_layout`] call, and
+//!   its connected components are built at most once, however many
+//!   rules (spacing, both cut enclosures) read them.
+//! * Enclosure and extension subtract each inner component's required
+//!   region from only the outer cells that meet the region's hull.
+//!   The outer cover is sorted by `y_min`, so two binary searches
+//!   bound the candidates: cells starting below the hull's top, and
+//!   no further below its bottom than the tallest cell is high.
+//! * Spacing sweeps the component hulls in `x_min` order and ends a
+//!   component's scan at the first hull starting `min` or more to its
+//!   right.
+//!
+//! Both shortcuts only skip work whose answer is known: a cell
+//! disjoint from a region's hull cannot change the region minus the
+//! cover, and a pair `min` apart in x is at least `min` apart in
+//! Chebyshev distance.
 
+use std::cell::OnceCell;
 use std::time::Instant;
 
 use ace_core::Extraction;
 use ace_geom::{intersect_boxes, merge_boxes, subtract_boxes, Coord, Layer, LayerMap, Rect};
-use ace_layout::probe::{Counter, Lane, Probe};
+use ace_layout::probe::{Counter, Lane, Probe, Span};
 use ace_layout::FlatLayout;
 use ace_lint::{sort_diagnostics, Diagnostic, LintConfig, LintSpan, RuleId};
 
@@ -196,6 +218,69 @@ fn chebyshev_gap(a: &Rect, b: &Rect) -> Coord {
     gap_x.max(gap_y)
 }
 
+/// Each layer's canonical cover, and its connected components built
+/// on first use, so one [`check_layout`] call never rebuilds a
+/// layer's components for a second rule.
+struct Layers {
+    covers: LayerMap<Vec<Rect>>,
+    components: LayerMap<OnceCell<Vec<Vec<Rect>>>>,
+}
+
+impl Layers {
+    fn new(layout: &FlatLayout) -> Layers {
+        let mut rects: LayerMap<Vec<Rect>> = LayerMap::default();
+        for b in layout.boxes() {
+            if !b.rect.is_empty() {
+                rects[b.layer].push(b.rect);
+            }
+        }
+        Layers {
+            covers: LayerMap::from_fn(|l| merge_boxes(&rects[l])),
+            components: LayerMap::default(),
+        }
+    }
+
+    fn components(&self, layer: Layer) -> &[Vec<Rect>] {
+        self.components[layer].get_or_init(|| components(&self.covers[layer]))
+    }
+}
+
+/// A canonical cover (cells sorted by `y_min`) that answers
+/// "subtract yourself from this small region" by looking only at the
+/// cells near that region.
+struct Windowed {
+    cells: Vec<Rect>,
+    /// Height of the tallest cell: a cell reaching a window's bottom
+    /// edge starts less than this far below it.
+    reach: Coord,
+}
+
+impl Windowed {
+    fn new(cells: Vec<Rect>) -> Windowed {
+        let reach = cells.iter().map(Rect::height).max().unwrap_or(0);
+        Windowed { cells, reach }
+    }
+
+    /// Canonical cover of `region − self`.
+    ///
+    /// Exact: a cell disjoint from `hull(region)` is disjoint from
+    /// `region`, so dropping it leaves the point set `region − self`
+    /// unchanged, and a canonical cover depends only on that set.
+    fn subtract_from(&self, region: &[Rect]) -> Vec<Rect> {
+        let w = hull(region);
+        let lo = self
+            .cells
+            .partition_point(|c| c.y_min <= w.y_min.saturating_sub(self.reach));
+        let hi = self.cells.partition_point(|c| c.y_min < w.y_max);
+        let near: Vec<Rect> = self.cells[lo..hi]
+            .iter()
+            .filter(|c| c.y_max > w.y_min && c.x_min < w.x_max && c.x_max > w.x_min)
+            .copied()
+            .collect();
+        subtract_boxes(region, &near)
+    }
+}
+
 fn check_width(cover: &[Rect], layer: Layer, min: Coord, out: &mut Vec<Violation>) {
     for patch in components(&narrow_region(cover, min)) {
         out.push(Violation::Width {
@@ -207,19 +292,27 @@ fn check_width(cover: &[Rect], layer: Layer, min: Coord, out: &mut Vec<Violation
     }
 }
 
-fn check_spacing(cover: &[Rect], layer: Layer, min: Coord, out: &mut Vec<Violation>) {
-    let comps = components(cover);
-    for i in 0..comps.len() {
-        for j in i + 1..comps.len() {
-            let (a, b) = (&comps[i], &comps[j]);
-            let (ha, hb) = (hull(a), hull(b));
+/// Sweeps the components in `x_min` order of their hulls. Once a
+/// later hull starts `min` or more right of the current one's
+/// `x_max`, so does every hull after it, and a Chebyshev gap is at
+/// least its x gap, so no remaining pair can violate.
+fn check_spacing(comps: &[Vec<Rect>], layer: Layer, min: Coord, out: &mut Vec<Violation>) {
+    let hulls: Vec<Rect> = comps.iter().map(|c| hull(c)).collect();
+    let mut order: Vec<usize> = (0..comps.len()).collect();
+    order.sort_unstable_by_key(|&i| hulls[i].x_min);
+    for (k, &i) in order.iter().enumerate() {
+        for &j in &order[k + 1..] {
+            let (ha, hb) = (hulls[i], hulls[j]);
+            if hb.x_min - ha.x_max >= min {
+                break;
+            }
             if chebyshev_gap(&ha, &hb) >= min {
                 continue;
             }
             let mut gap = Coord::MAX;
             let mut involved: Vec<Rect> = Vec::new();
-            for ra in a {
-                for rb in b {
+            for ra in &comps[i] {
+                for rb in &comps[j] {
                     gap = gap.min(chebyshev_gap(ra, rb));
                     if let Some(facing) = ra.intersection(&rb.inflate(min)) {
                         involved.push(facing);
@@ -249,8 +342,7 @@ fn check_spacing(cover: &[Rect], layer: Layer, min: Coord, out: &mut Vec<Violati
 }
 
 fn check_enclosure(
-    inner_cover: &[Rect],
-    covers: &LayerMap<Vec<Rect>>,
+    layers: &Layers,
     inner: Layer,
     outer: &[Layer],
     margin: Coord,
@@ -258,18 +350,17 @@ fn check_enclosure(
 ) {
     let mut outer_boxes: Vec<Rect> = Vec::new();
     for &l in outer {
-        outer_boxes.extend_from_slice(&covers[l]);
+        outer_boxes.extend_from_slice(&layers.covers[l]);
     }
-    let outer_cover = merge_boxes(&outer_boxes);
-    for comp in components(inner_cover) {
-        let required = inflate_cover(&comp, margin);
-        let uncovered = subtract_boxes(&required, &outer_cover);
+    let outer_cover = Windowed::new(merge_boxes(&outer_boxes));
+    for comp in layers.components(inner) {
+        let uncovered = outer_cover.subtract_from(&inflate_cover(comp, margin));
         if !uncovered.is_empty() {
             out.push(Violation::Enclosure {
                 inner,
                 outer: outer.to_vec(),
                 margin,
-                bbox: hull(&comp),
+                bbox: hull(comp),
                 uncovered: cover_area(&uncovered),
             });
         }
@@ -289,10 +380,9 @@ fn check_extension(
     }
     let mut union_boxes = covers[over].clone();
     union_boxes.extend_from_slice(&covers[past]);
-    let union = merge_boxes(&union_boxes);
+    let union = Windowed::new(merge_boxes(&union_boxes));
     for comp in components(&channel) {
-        let required = axis_cross(&comp, margin);
-        let uncovered = subtract_boxes(&required, &union);
+        let uncovered = union.subtract_from(&axis_cross(&comp, margin));
         if !uncovered.is_empty() {
             out.push(Violation::Extension {
                 over,
@@ -313,27 +403,23 @@ fn check_extension(
 /// fracturing of the same drawn point sets produces the identical
 /// list.
 pub fn check_layout(layout: &FlatLayout, deck: &RuleDeck) -> Vec<Violation> {
-    let mut rects: LayerMap<Vec<Rect>> = LayerMap::default();
-    for b in layout.boxes() {
-        if !b.rect.is_empty() {
-            rects[b.layer].push(b.rect);
-        }
-    }
-    let covers: LayerMap<Vec<Rect>> = LayerMap::from_fn(|l| merge_boxes(&rects[l]));
+    let layers = Layers::new(layout);
     let mut out = Vec::new();
     for rule in &deck.rules {
         match rule {
-            DrcRule::Width { layer, min } => check_width(&covers[*layer], *layer, *min, &mut out),
+            DrcRule::Width { layer, min } => {
+                check_width(&layers.covers[*layer], *layer, *min, &mut out)
+            }
             DrcRule::Spacing { layer, min } => {
-                check_spacing(&covers[*layer], *layer, *min, &mut out)
+                check_spacing(layers.components(*layer), *layer, *min, &mut out)
             }
             DrcRule::Enclosure {
                 inner,
                 outer,
                 margin,
-            } => check_enclosure(&covers[*inner], &covers, *inner, outer, *margin, &mut out),
+            } => check_enclosure(&layers, *inner, outer, *margin, &mut out),
             DrcRule::Extension { over, past, margin } => {
-                check_extension(&covers, *over, *past, *margin, &mut out)
+                check_extension(&layers.covers, *over, *past, *margin, &mut out)
             }
         }
     }
@@ -355,9 +441,10 @@ pub fn check(layout: &FlatLayout, deck: &RuleDeck, config: &LintConfig) -> Vec<D
     diags
 }
 
-/// [`check`] for an existing extraction: times the pass, bumps the
+/// [`check`] for an existing extraction: brackets the pass in a
+/// [`Span::Drc`] on [`Lane::MAIN`], bumps the
 /// [`Counter::DrcViolations`] / [`Counter::DrcTimeNs`] probe counters
-/// on [`Lane::MAIN`], and folds both into the extraction's report.
+/// there, and folds both into the extraction's report.
 pub fn check_extraction(
     extraction: &mut Extraction,
     layout: &FlatLayout,
@@ -365,9 +452,11 @@ pub fn check_extraction(
     config: &LintConfig,
     probe: &dyn Probe,
 ) -> Vec<Diagnostic> {
+    probe.enter(Lane::MAIN, Span::Drc);
     let start = Instant::now();
     let diagnostics = check(layout, deck, config);
     let elapsed = start.elapsed();
+    probe.exit(Lane::MAIN, Span::Drc);
     probe.add(Lane::MAIN, Counter::DrcViolations, diagnostics.len() as u64);
     probe.add(Lane::MAIN, Counter::DrcTimeNs, elapsed.as_nanos() as u64);
     extraction.report.drc_violations += diagnostics.len() as u64;

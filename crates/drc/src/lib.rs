@@ -53,5 +53,5 @@ mod deck;
 mod engine;
 pub mod region;
 
-pub use deck::{DeckParseError, DrcRule, RuleDeck};
+pub use deck::{DeckParseError, DrcRule, RuleDeck, MAX_DIMENSION};
 pub use engine::{check, check_extraction, check_layout, Violation};

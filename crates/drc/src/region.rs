@@ -65,19 +65,6 @@ pub fn components(cover: &[Rect]) -> Vec<Vec<Rect>> {
     groups.into_values().collect()
 }
 
-/// Per-cell component ids for a canonical cover, numbered in the same
-/// canonical order [`components`] returns.
-pub fn component_ids(cover: &[Rect]) -> Vec<usize> {
-    let comps = components(cover);
-    let mut by_cell: BTreeMap<Rect, usize> = BTreeMap::new();
-    for (id, comp) in comps.iter().enumerate() {
-        for r in comp {
-            by_cell.insert(*r, id);
-        }
-    }
-    cover.iter().map(|r| by_cell[r]).collect()
-}
-
 /// Smallest rectangle covering a non-empty cover.
 pub fn hull(cover: &[Rect]) -> Rect {
     let first = cover.first().expect("hull of a non-empty cover");
@@ -173,7 +160,6 @@ mod tests {
         // An L built from two rects is one component.
         let l = merge_boxes(&[Rect::new(0, 0, 10, 30), Rect::new(0, 0, 30, 10)]);
         assert_eq!(components(&l).len(), 1);
-        assert_eq!(component_ids(&l), vec![0; l.len()]);
     }
 
     #[test]

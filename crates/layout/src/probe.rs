@@ -2,8 +2,8 @@
 //! enter/exit events and monotonic counter events from every stage of
 //! the extraction pipeline — the geometry feeds here in `ace-layout`,
 //! the scanline sweep and band stitcher in `ace-core`, the
-//! window/compose pipeline in `ace-hext`, and the raster baselines in
-//! `ace-raster`.
+//! window/compose pipeline in `ace-hext`, the raster baselines in
+//! `ace-raster`, and the design-rule checker in `ace_drc`.
 //!
 //! The trait lives in this crate (the lowest layer that emits events)
 //! so the feeds can report without depending on the extractor; the
@@ -85,11 +85,13 @@ pub enum Span {
     Compose,
     /// One raster-baseline grid scan.
     Raster,
+    /// One geometric design-rule check over a flat layout.
+    Drc,
 }
 
 impl Span {
     /// All spans, in declaration order.
-    pub const ALL: [Span; 10] = [
+    pub const ALL: [Span; 11] = [
         Span::Extract,
         Span::FrontEnd,
         Span::Insert,
@@ -100,6 +102,7 @@ impl Span {
         Span::Window,
         Span::Compose,
         Span::Raster,
+        Span::Drc,
     ];
 
     /// Stable kebab-case name (used as the Chrome-trace event name).
@@ -115,6 +118,7 @@ impl Span {
             Span::Window => "window",
             Span::Compose => "compose",
             Span::Raster => "raster-scan",
+            Span::Drc => "drc",
         }
     }
 }

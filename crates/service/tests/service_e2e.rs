@@ -169,6 +169,43 @@ fn daemon_drc_matches_in_process_checker() {
 }
 
 #[test]
+fn over_bound_deck_dimension_is_a_bad_request() {
+    // A cut enclosed by metal and diffusion, and decks whose
+    // dimensions would overflow `Rect::inflate` had they reached the
+    // checker.
+    let cif = "L NC; B 500 500 250 250; L NM; B 1000 1000 250 250; L ND; B 1000 1000 250 250; E";
+    let (daemon, mut client) = daemon_and_client(ServiceConfig::default());
+    client
+        .open("big", cif, BANDS, ExtractOptions::new())
+        .expect("open");
+    let config = LintConfig::new();
+    for deck in [
+        "enclose NC NM 4611686018427387904\n",
+        "width NM 9223372036854775000\n",
+    ] {
+        let err = service_error(client.drc("big", Some(deck), &config).expect_err(deck));
+        assert_eq!(err.code, ErrorCode::BadRequest, "{deck}");
+        assert!(
+            err.message.contains("exceeds the maximum"),
+            "{deck}: {}",
+            err.message
+        );
+    }
+    // The session keeps serving: the default deck finds the clean
+    // contact clean, and the same margin at the bound still runs.
+    let (diags, _) = client.drc("big", None, &config).expect("still serving");
+    assert_eq!(diags, vec![]);
+    let at_bound = format!("enclose NC NM {}\n", ace_drc::MAX_DIMENSION);
+    let (diags, _) = client
+        .drc("big", Some(&at_bound), &config)
+        .expect("bound is legal");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(diags[0].rendered.contains("uncovered area"));
+
+    daemon.join();
+}
+
+#[test]
 fn edit_diff_matches_full_in_process_reextraction() {
     let cif = mesh_cif(6);
     let (daemon, mut client) = daemon_and_client(ServiceConfig::default());

@@ -78,6 +78,20 @@ case "$sarif" in
     *) echo "acedrc --format sarif produced malformed output" >&2; exit 1 ;;
 esac
 
+echo "==> DRC deck dimension bound"
+# A rule dimension past ace_drc::MAX_DIMENSION would overflow the
+# checker's geometry; acedrc must refuse the deck (exit 2) instead.
+deck_dir=$(mktemp -d)
+printf 'enclose NC NM 4611686018427387904\n' > "$deck_dir/over.drc"
+status=0
+err=$(target/release/acedrc conformance/corpus/labeled-mesh.cif \
+    --deck "$deck_dir/over.drc" 2>&1 >/dev/null) || status=$?
+rm -r "$deck_dir"
+case "$status:$err" in
+    2:*'deck line 1: dimension 4611686018427387904 exceeds the maximum'*) ;;
+    *) echo "acedrc accepted an over-bound deck dimension (exit $status): $err" >&2; exit 1 ;;
+esac
+
 echo "==> DRC oracle fuzz (seed 1983, 64 cases)"
 # The sweep checker must match the brute-force coordinate-compression
 # oracle exactly, and stay invariant under box splitting and feed

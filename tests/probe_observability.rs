@@ -171,3 +171,36 @@ fn summary_probe_percentages_sum_to_100() {
         assert!(table.contains(phase.label()), "{} missing", phase.label());
     }
 }
+
+#[test]
+fn drc_pass_is_a_main_lane_span() {
+    // A thin metal wire: one min-width violation under the NMOS deck.
+    let src = "L NM; B 500 2000 250 1000; E";
+    let mut extraction =
+        extract_text_probed(src, ExtractOptions::new(), &NullProbe).expect("wire extracts");
+    let trace = ChromeTraceProbe::new();
+    let counters = CounterProbe::new();
+    let diags = drc_check_extraction(
+        &mut extraction,
+        &flat_of(src),
+        &RuleDeck::nmos(),
+        &LintConfig::new(),
+        &(&trace, &counters),
+    );
+    assert_eq!(diags.len(), 1);
+
+    // One balanced drc span, on the main lane, in the timeline.
+    let drc: Vec<(char, u32)> = trace
+        .events()
+        .iter()
+        .filter(|e| e.name == Span::Drc.name())
+        .map(|e| (e.phase, e.tid))
+        .collect();
+    assert_eq!(drc, vec![('B', Lane::MAIN.0), ('E', Lane::MAIN.0)]);
+    assert!(trace.to_json().contains("\"name\":\"drc\""));
+
+    // The aggregate sees the same span beside the DRC counters.
+    assert!(counters.lane_span_time(Lane::MAIN, Span::Drc) > std::time::Duration::ZERO);
+    assert_eq!(counters.total(Counter::DrcViolations), 1);
+    assert_eq!(extraction.report.drc_violations, 1);
+}
