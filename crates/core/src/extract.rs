@@ -657,4 +657,41 @@ mod tests {
         let err = extract_feed(&mut feed, "e", ExtractOptions::new().with_threads(2)).unwrap_err();
         assert!(matches!(err, ExtractError::Options(_)));
     }
+
+    /// A 100,000-level chain of symbols, each calling the next: the
+    /// library build, the feed's label walk, lazy expansion and the
+    /// sweep must all fit a 2 MB thread stack, which a walk recursing
+    /// once per level overflows.
+    #[test]
+    fn deep_hierarchy_extracts_on_a_small_stack() {
+        let levels = 100_000;
+        let mut src = String::from("DS 1; L ND; B 10 10 0 0; 94 leaf 0 0; DF;");
+        for i in 2..=levels {
+            src.push_str(&format!("DS {i}; C {}; DF;", i - 1));
+        }
+        src.push_str(&format!("C {levels}; E"));
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let lib = Library::from_cif_text(&src).unwrap();
+                let mut feed = LazyFeed::new(&lib);
+                let mut labels = Vec::new();
+                feed.drain_new_labels(&mut labels);
+                assert_eq!(labels.len(), 1);
+                assert_eq!(labels[0].name, "leaf");
+                assert_eq!(feed.peek_top(), Some(5));
+                let mut boxes = Vec::new();
+                feed.pop_at(5, &mut boxes);
+                assert_eq!(boxes.len(), 1);
+                assert_eq!(boxes[0].rect, Rect::new(-5, -5, 5, 5));
+                assert_eq!(feed.peek_top(), None);
+
+                let r = extract_library(&lib, "chain", ExtractOptions::new()).unwrap();
+                assert_eq!(r.report.boxes, 1);
+                assert!(r.netlist.net_by_name("leaf").is_some());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
 }

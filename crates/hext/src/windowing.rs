@@ -95,7 +95,7 @@ impl Content {
         self.boxes.sort_unstable();
         self.instances.sort_unstable_by_key(|&(cell, t)| {
             (
-                lib.cell(cell).content_hash(),
+                lib.content_hash(cell),
                 t.translation(),
                 t.orientation() as u8,
             )
@@ -117,7 +117,7 @@ impl Content {
         0xB0u8.hash(&mut h);
         for (cell, t) in &self.instances {
             (
-                lib.cell(*cell).content_hash(),
+                lib.content_hash(*cell),
                 t.translation().x,
                 t.translation().y,
                 t.orientation() as u8,

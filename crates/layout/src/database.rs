@@ -1,4 +1,5 @@
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use ace_cif::{CifFile, Command, Shape, SymbolId};
 use ace_geom::{
@@ -40,7 +41,6 @@ pub struct Cell {
     labels: Vec<LabelDef>,
     instances: Vec<Instance>,
     bbox: Option<Rect>,
-    content_hash: u64,
 }
 
 impl Cell {
@@ -74,17 +74,6 @@ impl Cell {
     pub fn bounding_box(&self) -> Option<Rect> {
         self.bbox
     }
-
-    /// Structural hash of the cell's *full* contents — geometry,
-    /// labels, and all descendants with their placements. Two cells
-    /// hash equal exactly when their fully-instantiated artwork is
-    /// identical, independently of which [`Library`] they live in or
-    /// what their symbol ids are. This is what lets the hierarchical
-    /// extractor reuse window analyses across extraction runs
-    /// (incremental extraction).
-    pub fn content_hash(&self) -> u64 {
-        self.content_hash
-    }
 }
 
 /// The layout database: all cells plus a designated top cell.
@@ -108,11 +97,23 @@ impl Cell {
 /// assert_eq!(lib.instantiated_box_count(), 2);
 /// # Ok::<(), ace_layout::BuildLayoutError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Library {
     cells: Vec<Cell>,
     top: CellId,
+    /// Per-cell content hashes, computed on the first
+    /// [`Library::content_hash`] call (only HEXT reads them).
+    content_hashes: OnceLock<Vec<u64>>,
 }
+
+/// Libraries are equal when their cells and top are; whether the
+/// content-hash cache has been filled is not part of the value.
+impl PartialEq for Library {
+    fn eq(&self, other: &Self) -> bool {
+        self.top == other.top && self.cells == other.cells
+    }
+}
+impl Eq for Library {}
 
 impl Library {
     /// Builds a library from a parsed CIF file.
@@ -145,10 +146,13 @@ impl Library {
         top_cell.name = "(top)".to_string();
         cells.push(top_cell);
 
-        let mut lib = Library { cells, top };
+        let mut lib = Library {
+            cells,
+            top,
+            content_hashes: OnceLock::new(),
+        };
         lib.check_acyclic()?;
         lib.compute_bounding_boxes();
-        lib.compute_content_hashes();
         Ok(lib)
     }
 
@@ -192,23 +196,72 @@ impl Library {
 
     /// Total number of boxes in the fully-instantiated chip — the
     /// paper's `N`. Counted with multiplicity but without expanding
-    /// anything (pure arithmetic over the DAG).
+    /// anything (pure arithmetic over the DAG, children first, with an
+    /// explicit stack, so hierarchy depth costs heap, not call stack).
+    ///
+    /// The count saturates at [`u64::MAX`]: a few dozen levels of "call
+    /// the previous symbol twice" describe more boxes than a `u64`
+    /// holds, and a saturated count still reads as "too many" where a
+    /// wrapped one could read as zero.
     pub fn instantiated_box_count(&self) -> u64 {
-        let mut memo: Vec<Option<u64>> = vec![None; self.cells.len()];
-        self.count_boxes(self.top, &mut memo)
+        let mut count = vec![0u64; self.cells.len()];
+        for id in self.children_first([self.top]) {
+            let cell = &self.cells[id];
+            count[id] = cell
+                .instances
+                .iter()
+                .fold(cell.boxes.len() as u64, |n, inst| {
+                    n.saturating_add(count[inst.cell])
+                });
+        }
+        count[self.top]
     }
 
-    fn count_boxes(&self, id: CellId, memo: &mut Vec<Option<u64>>) -> u64 {
-        if let Some(n) = memo[id] {
-            return n;
+    /// Structural hash of a cell's *full* contents — geometry,
+    /// labels, and all descendants with their placements. Two cells
+    /// hash equal exactly when their fully-instantiated artwork is
+    /// identical, independently of which [`Library`] they live in or
+    /// what their symbol ids are. This is what lets the hierarchical
+    /// extractor reuse window analyses across extraction runs
+    /// (incremental extraction).
+    ///
+    /// The first call hashes every cell of the library at once; later
+    /// calls are a table lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    pub fn content_hash(&self, cell: CellId) -> u64 {
+        self.content_hashes
+            .get_or_init(|| self.compute_content_hashes())[cell]
+    }
+
+    /// The cells reachable from `roots`, each listed after every cell
+    /// it instantiates. Found with an explicit stack, so hierarchy
+    /// depth costs heap, not call stack; the library is acyclic.
+    pub(crate) fn children_first(&self, roots: impl IntoIterator<Item = CellId>) -> Vec<CellId> {
+        let mut order = Vec::new();
+        let mut done = vec![false; self.cells.len()];
+        for root in roots {
+            let mut stack = vec![(root, false)];
+            while let Some((id, children_done)) = stack.pop() {
+                if done[id] {
+                    continue;
+                }
+                if children_done {
+                    done[id] = true;
+                    order.push(id);
+                } else {
+                    stack.push((id, true));
+                    for inst in &self.cells[id].instances {
+                        if !done[inst.cell] {
+                            stack.push((inst.cell, false));
+                        }
+                    }
+                }
+            }
         }
-        let cell = &self.cells[id];
-        let mut n = cell.boxes.len() as u64;
-        for inst in &cell.instances {
-            n += self.count_boxes(inst.cell, memo);
-        }
-        memo[id] = Some(n);
-        n
+        order
     }
 
     fn check_acyclic(&self) -> Result<(), BuildLayoutError> {
@@ -247,125 +300,79 @@ impl Library {
     }
 
     fn compute_bounding_boxes(&mut self) {
-        // Topological (children-first) evaluation via iterative DFS.
-        let n = self.cells.len();
-        let mut done = vec![false; n];
-        for start in 0..n {
-            if done[start] {
-                continue;
+        for id in self.children_first(0..self.cells.len()) {
+            let mut bb: Option<Rect> = None;
+            for &(_, r) in &self.cells[id].boxes {
+                bb = Some(match bb {
+                    Some(acc) => acc.bounding_union(&r),
+                    None => r,
+                });
             }
-            let mut stack = vec![(start, false)];
-            while let Some((id, children_done)) = stack.pop() {
-                if done[id] {
-                    continue;
-                }
-                if children_done {
-                    let mut bb: Option<Rect> = None;
-                    for &(_, r) in &self.cells[id].boxes {
-                        bb = Some(match bb {
-                            Some(acc) => acc.bounding_union(&r),
-                            None => r,
-                        });
-                    }
-                    // Labels extend the bbox too: the lazy feed
-                    // releases a cell's labels when the scanline
-                    // reaches the bbox top, so every label must lie
-                    // within it.
-                    for label in &self.cells[id].labels {
-                        let p = Rect::new(label.at.x, label.at.y, label.at.x, label.at.y);
-                        bb = Some(match bb {
-                            Some(acc) => acc.bounding_union(&p),
-                            None => p,
-                        });
-                    }
-                    let insts = self.cells[id].instances.clone();
-                    for inst in insts {
-                        if let Some(child_bb) = self.cells[inst.cell].bbox {
-                            let mapped = inst.transform.apply_rect(&child_bb);
-                            bb = Some(match bb {
-                                Some(acc) => acc.bounding_union(&mapped),
-                                None => mapped,
-                            });
-                        }
-                    }
-                    self.cells[id].bbox = bb;
-                    done[id] = true;
-                } else {
-                    stack.push((id, true));
-                    for inst in &self.cells[id].instances {
-                        if !done[inst.cell] {
-                            stack.push((inst.cell, false));
-                        }
-                    }
+            // Labels extend the bbox too, so it covers everything
+            // the cell places.
+            for label in &self.cells[id].labels {
+                let p = Rect::new(label.at.x, label.at.y, label.at.x, label.at.y);
+                bb = Some(match bb {
+                    Some(acc) => acc.bounding_union(&p),
+                    None => p,
+                });
+            }
+            for inst in &self.cells[id].instances {
+                if let Some(child_bb) = self.cells[inst.cell].bbox {
+                    let mapped = inst.transform.apply_rect(&child_bb);
+                    bb = Some(match bb {
+                        Some(acc) => acc.bounding_union(&mapped),
+                        None => mapped,
+                    });
                 }
             }
+            self.cells[id].bbox = bb;
         }
     }
 }
 
 impl Library {
-    fn compute_content_hashes(&mut self) {
+    fn compute_content_hashes(&self) -> Vec<u64> {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        // Children-first order falls out of the same DFS used for
-        // bounding boxes.
-        let n = self.cells.len();
-        let mut done = vec![false; n];
-        for start in 0..n {
-            if done[start] {
-                continue;
+        let mut hashes = vec![0u64; self.cells.len()];
+        for id in self.children_first(0..self.cells.len()) {
+            let mut h = DefaultHasher::new();
+            let cell = &self.cells[id];
+            let mut boxes = cell.boxes.clone();
+            boxes.sort_unstable();
+            for (layer, r) in boxes {
+                (layer.index(), r.x_min, r.y_min, r.x_max, r.y_max).hash(&mut h);
             }
-            let mut stack = vec![(start, false)];
-            while let Some((id, children_done)) = stack.pop() {
-                if done[id] {
-                    continue;
-                }
-                if children_done {
-                    let mut h = DefaultHasher::new();
-                    let cell = &self.cells[id];
-                    let mut boxes = cell.boxes.clone();
-                    boxes.sort_unstable();
-                    for (layer, r) in boxes {
-                        (layer.index(), r.x_min, r.y_min, r.x_max, r.y_max).hash(&mut h);
-                    }
-                    0xAAu8.hash(&mut h);
-                    let mut labels: Vec<_> = cell
-                        .labels
-                        .iter()
-                        .map(|l| (l.name.clone(), l.at, l.layer.map(Layer::index)))
-                        .collect();
-                    labels.sort();
-                    for (name, at, layer) in labels {
-                        (name, at.x, at.y, layer).hash(&mut h);
-                    }
-                    0xABu8.hash(&mut h);
-                    let mut children: Vec<_> = cell
-                        .instances
-                        .iter()
-                        .map(|i| {
-                            (
-                                self.cells[i.cell].content_hash,
-                                i.transform.translation(),
-                                i.transform.orientation() as u8,
-                            )
-                        })
-                        .collect();
-                    children.sort();
-                    for (hash, t, o) in children {
-                        (hash, t.x, t.y, o).hash(&mut h);
-                    }
-                    self.cells[id].content_hash = h.finish();
-                    done[id] = true;
-                } else {
-                    stack.push((id, true));
-                    for inst in &self.cells[id].instances {
-                        if !done[inst.cell] {
-                            stack.push((inst.cell, false));
-                        }
-                    }
-                }
+            0xAAu8.hash(&mut h);
+            let mut labels: Vec<_> = cell
+                .labels
+                .iter()
+                .map(|l| (l.name.clone(), l.at, l.layer.map(Layer::index)))
+                .collect();
+            labels.sort();
+            for (name, at, layer) in labels {
+                (name, at.x, at.y, layer).hash(&mut h);
             }
+            0xABu8.hash(&mut h);
+            let mut children: Vec<_> = cell
+                .instances
+                .iter()
+                .map(|i| {
+                    (
+                        hashes[i.cell],
+                        i.transform.translation(),
+                        i.transform.orientation() as u8,
+                    )
+                })
+                .collect();
+            children.sort();
+            for (hash, t, o) in children {
+                (hash, t.x, t.y, o).hash(&mut h);
+            }
+            hashes[id] = h.finish();
         }
+        hashes
     }
 }
 
@@ -535,10 +542,10 @@ mod tests {
              C 9; C 7; E",
         )
         .unwrap();
-        let ha = a.cell(a.cell_by_symbol(1).unwrap()).content_hash();
-        let hb = b.cell(b.cell_by_symbol(9).unwrap()).content_hash();
+        let ha = a.content_hash(a.cell_by_symbol(1).unwrap());
+        let hb = b.content_hash(b.cell_by_symbol(9).unwrap());
         assert_eq!(ha, hb, "same content must hash equal across libraries");
-        let other = b.cell(b.cell_by_symbol(7).unwrap()).content_hash();
+        let other = b.content_hash(b.cell_by_symbol(7).unwrap());
         assert_ne!(ha, other);
     }
 
@@ -549,8 +556,8 @@ mod tests {
         let b = Library::from_cif_text("DS 1; L ND; B 4 4 0 0; DF; DS 2; C 1 T 20 0; DF; C 2; E")
             .unwrap();
         // The leaf is identical, the parent differs (child placement).
-        let leaf = |l: &Library| l.cell(l.cell_by_symbol(1).unwrap()).content_hash();
-        let parent = |l: &Library| l.cell(l.cell_by_symbol(2).unwrap()).content_hash();
+        let leaf = |l: &Library| l.content_hash(l.cell_by_symbol(1).unwrap());
+        let parent = |l: &Library| l.content_hash(l.cell_by_symbol(2).unwrap());
         assert_eq!(leaf(&a), leaf(&b));
         assert_ne!(parent(&a), parent(&b));
     }
@@ -568,5 +575,63 @@ mod tests {
         src.push_str("C 21; E");
         let lib = Library::from_cif_text(&src).unwrap();
         assert_eq!(lib.instantiated_box_count(), 1 << 20);
+    }
+
+    /// `DS 1` holds one box; each further symbol calls the previous
+    /// one, twice when `doubling`.
+    fn chain(levels: usize, doubling: bool) -> String {
+        let mut src = String::from("DS 1; L ND; B 4 4 0 0; DF;");
+        for i in 2..=levels {
+            let second = if doubling {
+                format!(" C {} T 10 0;", i - 1)
+            } else {
+                String::new()
+            };
+            src.push_str(&format!("DS {i}; C {} T 0 0;{second} DF;", i - 1));
+        }
+        src.push_str(&format!("C {levels}; E"));
+        src
+    }
+
+    #[test]
+    fn box_count_survives_deep_chains_on_a_small_stack() {
+        // One level per symbol: a recursive count would need 100,000
+        // frames; the iterative one fits a 2 MB thread stack.
+        let src = chain(100_000, false);
+        let count = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                Library::from_cif_text(&src)
+                    .unwrap()
+                    .instantiated_box_count()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn box_count_saturates_instead_of_wrapping() {
+        // 70 doubling levels describe 2^69 boxes; an unchecked sum
+        // wraps to 0.
+        let lib = Library::from_cif_text(&chain(70, true)).unwrap();
+        assert_eq!(lib.instantiated_box_count(), u64::MAX);
+        let lib = Library::from_cif_text(&chain(64, true)).unwrap();
+        assert_eq!(lib.instantiated_box_count(), 1 << 63);
+    }
+
+    #[test]
+    fn content_hashes_are_computed_on_first_use() {
+        let lib = Library::from_cif_text(&chain(3, true)).unwrap();
+        assert!(lib.content_hashes.get().is_none(), "building must not hash");
+        let top = lib.content_hash(lib.top());
+        assert_eq!(lib.content_hashes.get().map(Vec::len), Some(4));
+        assert_eq!(lib.content_hash(lib.top()), top);
+        // A clone with a filled cache still equals a fresh build.
+        assert_eq!(
+            lib.clone(),
+            Library::from_cif_text(&chain(3, true)).unwrap()
+        );
     }
 }

@@ -1,7 +1,7 @@
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use ace_geom::{Coord, Transform};
+use ace_geom::{Coord, Orientation, Point, Transform};
 
 use crate::database::{CellId, Library};
 use crate::flatten::{FlatLabel, FlatLayout, LayerBox};
@@ -43,15 +43,29 @@ pub struct FeedStats {
     pub boxes_emitted: u64,
     /// Symbol instances expanded (lazy feed only).
     pub instances_expanded: u64,
-    /// High-water mark of the pending queue.
+    /// High-water mark of the pending queue. For the lazy feed that
+    /// is heap entries — one run per placed cell with boxes plus the
+    /// instances not yet expanded — not boxes; the eager feed counts
+    /// the boxes it holds.
     pub max_pending: usize,
 }
 
 enum PendingKind {
-    Box(LayerBox),
+    /// A cursor over one placed cell's own boxes: `run` indexes the
+    /// feed's run table (the cell's boxes in the placement's
+    /// orientation, by descending top), `shift` is the placement's
+    /// translation, and `next` is the first box not yet emitted.
+    Run {
+        run: usize,
+        shift: Point,
+        next: usize,
+    },
+    /// A symbol instance not yet expanded.
     Instance(CellId, Transform),
 }
 
+/// A heap entry, keyed by the top of what it still holds: the next
+/// box of a run, or an instance's placed bounding box.
 struct Pending {
     y_top: Coord,
     kind: PendingKind,
@@ -72,18 +86,21 @@ impl PartialOrd for Pending {
 
 impl Ord for Pending {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on y_top; on ties, instances sort above boxes so
+        // Max-heap on y_top; on ties, instances sort above runs so
         // they are expanded before the boxes at that level are
         // reported.
         let rank = |k: &PendingKind| match k {
             PendingKind::Instance(..) => 1u8,
-            PendingKind::Box(_) => 0,
+            PendingKind::Run { .. } => 0,
         };
         self.y_top
             .cmp(&other.y_top)
             .then_with(|| rank(&self.kind).cmp(&rank(&other.kind)))
     }
 }
+
+/// Run-table slot of a `(cell, orientation)` pair not sorted yet.
+const UNSORTED: u32 = u32::MAX;
 
 /// The lazy front-end: yields boxes in descending-top order,
 /// expanding a symbol instance only when the scanline reaches the top
@@ -125,6 +142,13 @@ impl Ord for Pending {
 pub struct LazyFeed<'a> {
     lib: &'a Library,
     heap: BinaryHeap<Pending>,
+    /// Sorted runs, one per `(cell, orientation)` placed so far: the
+    /// cell's boxes turned by the orientation about the origin, by
+    /// descending top. Translation shifts every top equally, so one
+    /// run serves every placement of the cell in that orientation.
+    runs: Vec<Vec<LayerBox>>,
+    /// `run_of[cell][orientation]` indexes `runs`, or is `UNSORTED`.
+    run_of: Vec<[u32; 8]>,
     new_labels: Vec<FlatLabel>,
     stats: FeedStats,
     probe: &'a dyn Probe,
@@ -142,51 +166,53 @@ impl<'a> LazyFeed<'a> {
         let mut feed = LazyFeed {
             lib,
             heap: BinaryHeap::new(),
+            runs: Vec::new(),
+            run_of: vec![[UNSORTED; 8]; lib.cells().len()],
             new_labels: Vec::new(),
             stats: FeedStats::default(),
             probe: &NullProbe,
             lane: Lane::MAIN,
         };
-        let mut has_labels = vec![None; lib.cells().len()];
-        feed.collect_labels(cell, Transform::identity(), &mut has_labels);
+        feed.collect_labels(cell);
         feed.push_cell_contents(cell, Transform::identity());
         feed
     }
 
-    /// Whether `cell` or anything it instantiates carries a label,
-    /// memoized per cell (the instance DAG can repeat cells).
-    fn subtree_has_labels(&self, cell: CellId, memo: &mut [Option<bool>]) -> bool {
-        if let Some(known) = memo[cell] {
-            return known;
+    /// Which cells reachable from `root` have a label in their
+    /// subtree (the instance DAG can repeat cells).
+    fn label_bearing(&self, root: CellId) -> Vec<bool> {
+        let mut has = vec![false; self.lib.cells().len()];
+        for id in self.lib.children_first([root]) {
+            let c = self.lib.cell(id);
+            has[id] = !c.labels().is_empty() || c.instances().iter().any(|i| has[i.cell]);
         }
-        // Break instantiation cycles defensively (the library rejects
-        // them at build time): a cell currently under evaluation
-        // contributes nothing new.
-        memo[cell] = Some(false);
-        let c = self.lib.cell(cell);
-        let has = !c.labels().is_empty()
-            || c.instances()
-                .iter()
-                .any(|i| self.subtree_has_labels(i.cell, memo));
-        memo[cell] = Some(has);
         has
     }
 
     /// Collects every label under `cell` into `new_labels` up front,
     /// pruning label-free subtrees (laziness is for geometry; labels
-    /// must all be known before the sweep's first stop).
-    fn collect_labels(&mut self, cell: CellId, t: Transform, memo: &mut [Option<bool>]) {
-        let c = self.lib.cell(cell);
-        for label in c.labels() {
-            self.new_labels.push(FlatLabel {
-                name: label.name.clone(),
-                at: t.apply_point(label.at),
-                layer: label.layer,
-            });
+    /// must all be known before the sweep's first stop). Labels come
+    /// out in pre-order — a cell's own labels, then its instances in
+    /// order — walked with an explicit stack.
+    fn collect_labels(&mut self, cell: CellId) {
+        let has = self.label_bearing(cell);
+        if !has[cell] {
+            return;
         }
-        for inst in c.instances() {
-            if self.subtree_has_labels(inst.cell, memo) {
-                self.collect_labels(inst.cell, inst.transform.then(t), memo);
+        let mut stack = vec![(cell, Transform::identity())];
+        while let Some((id, t)) = stack.pop() {
+            let c = self.lib.cell(id);
+            for label in c.labels() {
+                self.new_labels.push(FlatLabel {
+                    name: label.name.clone(),
+                    at: t.apply_point(label.at),
+                    layer: label.layer,
+                });
+            }
+            for inst in c.instances().iter().rev() {
+                if has[inst.cell] {
+                    stack.push((inst.cell, inst.transform.then(t)));
+                }
             }
         }
     }
@@ -200,17 +226,46 @@ impl<'a> LazyFeed<'a> {
         self
     }
 
+    /// The run of `cell`'s own boxes under orientation `o`, sorted on
+    /// first use.
+    fn run_for(&mut self, cell: CellId, o: Orientation) -> usize {
+        let slot = &mut self.run_of[cell][o as usize];
+        if *slot == UNSORTED {
+            let turn = Transform::from_orientation(o);
+            let mut run: Vec<LayerBox> = self
+                .lib
+                .cell(cell)
+                .boxes()
+                .iter()
+                .map(|&(layer, r)| LayerBox {
+                    layer,
+                    rect: turn.apply_rect(&r),
+                })
+                .collect();
+            run.sort_by_key(|b| Reverse(b.rect.y_max));
+            *slot = self.runs.len() as u32;
+            self.runs.push(run);
+        }
+        *slot as usize
+    }
+
     fn push_cell_contents(&mut self, cell: CellId, t: Transform) {
         let c = self.lib.cell(cell);
-        for &(layer, r) in c.boxes() {
-            let rect = t.apply_rect(&r);
+        // Labels were already collected up front by `collect_labels`;
+        // expansion pushes one run for the cell's own geometry and
+        // one entry per child instance.
+        if !c.boxes().is_empty() {
+            let run = self.run_for(cell, t.orientation());
+            let shift = t.translation();
             self.heap.push(Pending {
-                y_top: rect.y_max,
-                kind: PendingKind::Box(LayerBox { layer, rect }),
+                y_top: self.runs[run][0].rect.y_max + shift.y,
+                kind: PendingKind::Run {
+                    run,
+                    shift,
+                    next: 0,
+                },
             });
         }
-        // Labels were already collected up front by `collect_labels`;
-        // expansion pushes geometry and child instances only.
         for inst in c.instances() {
             let placed = inst.transform.then(t);
             if let Some(bb) = self.lib.cell(inst.cell).bounding_box() {
@@ -227,24 +282,22 @@ impl<'a> LazyFeed<'a> {
         }
     }
 
-    /// Expands instances at the heap top until it is a box (or
+    /// Expands instances at the heap top until it is a run (or
     /// empty). With `bound = Some(y)`, instances whose bounding-box
     /// top is below `y` are left unexpanded — the scanline has not
     /// reached them yet.
     fn settle(&mut self, bound: Option<Coord>) {
         while let Some(top) = self.heap.peek() {
-            match top.kind {
-                PendingKind::Box(_) => return,
-                PendingKind::Instance(cell, t) => {
-                    if bound.is_some_and(|y| top.y_top < y) {
-                        return;
-                    }
-                    self.heap.pop();
-                    self.stats.instances_expanded += 1;
-                    self.probe.add(self.lane, Counter::InstancesExpanded, 1);
-                    self.push_cell_contents(cell, t);
-                }
+            let PendingKind::Instance(cell, t) = top.kind else {
+                return;
+            };
+            if bound.is_some_and(|y| top.y_top < y) {
+                return;
             }
+            self.heap.pop();
+            self.stats.instances_expanded += 1;
+            self.probe.add(self.lane, Counter::InstancesExpanded, 1);
+            self.push_cell_contents(cell, t);
         }
     }
 }
@@ -256,25 +309,48 @@ impl GeometryFeed for LazyFeed<'_> {
     }
 
     fn pop_at(&mut self, y: Coord, out: &mut Vec<LayerBox>) {
-        let mut popped = 0u64;
+        let before = out.len();
         loop {
             self.settle(Some(y));
-            match self.heap.peek() {
-                Some(p) if p.y_top == y => {
-                    if let Some(Pending {
-                        kind: PendingKind::Box(b),
-                        ..
-                    }) = self.heap.pop()
-                    {
-                        self.stats.boxes_emitted += 1;
-                        popped += 1;
-                        out.push(b);
-                    }
+            let Some(mut top) = self.heap.peek_mut() else {
+                break;
+            };
+            if top.y_top != y {
+                break;
+            }
+            let PendingKind::Run {
+                run,
+                shift,
+                ref mut next,
+            } = top.kind
+            else {
+                unreachable!("settle leaves a run on top at the scanline");
+            };
+            // Drain every box of this run at the stop, then re-key the
+            // run once (dropping `top` sifts it down) or retire it.
+            let run = &self.runs[run];
+            let mut i = *next;
+            while let Some(b) = run.get(i) {
+                if b.rect.y_max + shift.y != y {
+                    break;
                 }
-                _ => break,
+                out.push(LayerBox {
+                    layer: b.layer,
+                    rect: b.rect.translate(shift),
+                });
+                i += 1;
+            }
+            *next = i;
+            match run.get(i) {
+                Some(b) => top.y_top = b.rect.y_max + shift.y,
+                None => {
+                    PeekMut::pop(top);
+                }
             }
         }
+        let popped = (out.len() - before) as u64;
         if popped > 0 {
+            self.stats.boxes_emitted += popped;
             self.probe.add(self.lane, Counter::FeedBoxes, popped);
         }
     }
@@ -305,11 +381,11 @@ impl<'p> EagerFeed<'p> {
         EagerFeed::from_flat(FlatLayout::from_library(lib))
     }
 
-    /// Builds a feed from an existing flat layout.
+    /// Builds a feed from an existing flat layout, taking its boxes
+    /// and labels without copying them.
     pub fn from_flat(mut flat: FlatLayout) -> Self {
         flat.sort_for_scan();
-        let boxes: Vec<LayerBox> = flat.boxes().to_vec();
-        let labels = flat.labels().to_vec();
+        let (boxes, labels) = flat.into_parts();
         let max_pending = boxes.len();
         EagerFeed {
             boxes,
@@ -481,6 +557,26 @@ mod tests {
     }
 
     #[test]
+    fn labels_come_out_in_pre_order() {
+        // A cell's own labels first, then each instance's subtree in
+        // call order; the label-free cell 4 is skipped.
+        let lib = Library::from_cif_text(
+            "DS 1; 94 c 0 0; DF;
+             DS 2; 94 b 0 0; C 1 T 10 0; DF;
+             DS 3; 94 d 0 0; DF;
+             DS 4; L ND; B 10 10 0 0; DF;
+             C 4; C 2 T 0 100; C 3 T 0 200; 94 a 0 0; E",
+        )
+        .unwrap();
+        let mut feed = LazyFeed::new(&lib);
+        let mut labels = Vec::new();
+        feed.drain_new_labels(&mut labels);
+        let names: Vec<&str> = labels.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c", "d"]);
+        assert_eq!(labels[2].at, ace_geom::Point::new(10, 100));
+    }
+
+    #[test]
     fn eager_feed_counts_boxes() {
         let lib = Library::from_cif_text(SRC).unwrap();
         let mut feed = EagerFeed::new(&lib);
@@ -506,5 +602,142 @@ mod tests {
         assert_eq!(feed.peek_top(), None);
         let mut eager = EagerFeed::new(&lib);
         assert_eq!(eager.peek_top(), None);
+    }
+
+    /// Sorted placed-bounding-box tops of every instance under the top
+    /// cell: the lazy feed has expanded exactly those at or above the
+    /// scanline.
+    fn placement_tops(lib: &Library) -> Vec<Coord> {
+        let mut tops = Vec::new();
+        let mut stack = vec![(lib.top(), Transform::identity())];
+        while let Some((id, t)) = stack.pop() {
+            for inst in lib.cell(id).instances() {
+                let placed = inst.transform.then(t);
+                if let Some(bb) = lib.cell(inst.cell).bounding_box() {
+                    tops.push(placed.apply_rect(&bb).y_max);
+                    stack.push((inst.cell, placed));
+                }
+            }
+        }
+        tops.sort_unstable();
+        tops
+    }
+
+    /// Drives the lazy and eager feeds in lockstep and checks that
+    /// they stop at the same tops and pop the same multiset of boxes
+    /// at each, and that the lazy feed expands exactly the instances
+    /// whose tops the scanline has reached. Returns the lazy stats.
+    fn assert_stops_agree(lib: &Library) -> FeedStats {
+        let tops = placement_tops(lib);
+        let reached = |y: Coord| (tops.len() - tops.partition_point(|&t| t < y)) as u64;
+        let mut lazy = LazyFeed::new(lib);
+        let mut eager = EagerFeed::new(lib);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        loop {
+            let y = lazy.peek_top();
+            assert_eq!(y, eager.peek_top());
+            let Some(y) = y else { break };
+            assert_eq!(lazy.stats().instances_expanded, reached(y), "at y={y}");
+            a.clear();
+            b.clear();
+            lazy.pop_at(y, &mut a);
+            eager.pop_at(y, &mut b);
+            assert!(!a.is_empty(), "pop_at made no progress at y={y}");
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "boxes popped at y={y}");
+            assert_eq!(lazy.stats().instances_expanded, reached(y), "at y={y}");
+        }
+        let stats = lazy.stats();
+        assert_eq!(stats.instances_expanded, tops.len() as u64);
+        assert_eq!(stats.boxes_emitted, lib.instantiated_box_count());
+        stats
+    }
+
+    #[test]
+    fn runs_merge_stop_by_stop_under_every_orientation() {
+        // Cell 1's box order flips under mirrors and rotations (tall,
+        // wide and offset boxes), and two of its boxes share a top.
+        // Cell 2 places it in all eight orientations, two of them at
+        // the same height so runs of different placements share tops;
+        // cell 3 nests cell 2 under further orientations, so they
+        // compose. The top cell's own boxes share tops with instance
+        // bounding boxes, and cell 4 is empty.
+        let lib = Library::from_cif_text(
+            "DS 1; L ND; B 10 10 0 0; B 40 6 50 30; B 6 80 -70 -20;
+                   L NP; B 10 10 100 0; B 20 4 0 60; DF;
+             DS 2; C 1 T 0 0; C 1 M X T 400 0; C 1 M Y T 800 0;
+                   C 1 R 0 1 T 1200 0; C 1 R -1 0 T 0 400;
+                   C 1 R 0 -1 T 400 400; C 1 M X R 0 1 T 800 400;
+                   C 1 M Y R 0 1 T 1200 400; DF;
+             DS 4; DF;
+             DS 3; C 2 R 0 1 T 3000 0; C 2 M X T 0 3000;
+                   C 2 M Y R 0 -1 T 3000 3000; C 4 T 50 50; DF;
+             C 3; C 2 T 0 -3000; C 4;
+             L NM; B 100 10 -500 62; B 100 10 -500 -2938; E",
+        )
+        .unwrap();
+        let stats = assert_stops_agree(&lib);
+        assert!(stats.boxes_emitted > 100);
+    }
+
+    #[test]
+    fn instance_at_a_runs_current_top_expands_before_the_stop() {
+        // The top cell's run holds boxes at tops 100 and 5; the
+        // instance's bounding box also tops out at 5, so it meets the
+        // run after the run has been re-keyed once.
+        let lib = Library::from_cif_text(
+            "DS 1; L NM; B 10 10 0 0; L ND; B 10 4 40 3; DF;
+             C 1 T 300 0; L NM; B 30 10 100 95; B 30 10 100 0; E",
+        )
+        .unwrap();
+        assert_stops_agree(&lib);
+        let mut feed = LazyFeed::new(&lib);
+        assert_eq!(feed.peek_top(), Some(100));
+        let mut out = Vec::new();
+        feed.pop_at(100, &mut out);
+        assert_eq!(feed.stats().instances_expanded, 0);
+        assert_eq!(feed.peek_top(), Some(5));
+        out.clear();
+        feed.pop_at(5, &mut out);
+        assert_eq!(out.len(), 3, "{out:?}");
+    }
+
+    #[test]
+    fn paper_chip_proxies_merge_stop_by_stop() {
+        use ace_workloads::chips::{generate_chip, paper_chip};
+        for name in ["cherry", "scheme81"] {
+            let chip = generate_chip(&paper_chip(name).unwrap().scaled(0.05));
+            let lib = Library::from_cif_text(&chip.cif).unwrap();
+            assert_stops_agree(&lib);
+        }
+    }
+
+    #[test]
+    fn heap_holds_runs_not_boxes() {
+        // 10,000 boxes in the top cell are one run: the pending queue
+        // never holds more than that run.
+        let mut src = String::from("L ND;");
+        for i in 0..10_000 {
+            src.push_str(&format!(" B 4 4 {} {};", (i % 100) * 10, (i / 100) * 10));
+        }
+        src.push_str(" E");
+        let lib = Library::from_cif_text(&src).unwrap();
+        let mut feed = LazyFeed::new(&lib);
+        assert_eq!(drain_all(&mut feed).len(), 10_000);
+        assert!(feed.stats().max_pending <= 2, "{:?}", feed.stats());
+    }
+
+    #[test]
+    fn scheme81_expands_as_many_instances_as_the_per_box_heap() {
+        // 25,114 is what the per-box heap this feed replaced expanded
+        // on the full scheme81 proxy; any change here changes laziness.
+        use ace_workloads::chips::{generate_chip, paper_chip};
+        let chip = generate_chip(paper_chip("scheme81").unwrap());
+        let lib = Library::from_cif_text(&chip.cif).unwrap();
+        let mut feed = LazyFeed::new(&lib);
+        let boxes = drain_all(&mut feed).len() as u64;
+        assert_eq!(boxes, lib.instantiated_box_count());
+        assert_eq!(feed.stats().instances_expanded, 25_114);
     }
 }

@@ -97,6 +97,11 @@ impl FlatLayout {
         &self.labels
     }
 
+    /// Moves the boxes and labels out, without copying.
+    pub(crate) fn into_parts(self) -> (Vec<LayerBox>, Vec<FlatLabel>) {
+        (self.boxes, self.labels)
+    }
+
     /// Adds one box.
     pub fn push_box(&mut self, layer: Layer, rect: Rect) {
         self.boxes.push(LayerBox { layer, rect });

@@ -179,7 +179,9 @@ pub enum Counter {
     FeedBoxes,
     /// Symbol instances expanded (lazy feed).
     InstancesExpanded,
-    /// High-water mark of the feed's pending queue (gauge).
+    /// High-water mark of the feed's pending queue (gauge): heap
+    /// entries (box runs plus unexpanded instances) for the lazy feed,
+    /// boxes held for the eager feed.
     PendingPeak,
     // -- HEXT window/compose pipeline --
     /// Primitive windows extracted with the flat engine.

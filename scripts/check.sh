@@ -17,8 +17,8 @@ cargo test --offline -q
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy (incl. clippy::perf)"
-cargo clippy --workspace --offline -- -W clippy::perf -D warnings
+echo "==> cargo clippy, all targets (incl. clippy::perf)"
+cargo clippy --workspace --all-targets --offline -- -W clippy::perf -D warnings
 
 echo "==> cargo doc"
 cargo doc --no-deps --offline
@@ -91,6 +91,27 @@ case "$status:$err" in
     2:*'deck line 1: dimension 4611686018427387904 exceeds the maximum'*) ;;
     *) echo "acedrc accepted an over-bound deck dimension (exit $status): $err" >&2; exit 1 ;;
 esac
+
+echo "==> front end survives deep hierarchy"
+# A 300,000-level chain of symbols, each calling the next, with a
+# labelled box at the bottom. Every walk over the symbol DAG must use
+# an explicit stack: a walk recursing once per level aborts acelint
+# with a stack overflow (a signal, exit status 128 or above).
+chain_dir=$(mktemp -d)
+awk 'BEGIN {
+    n = 300000;
+    printf "DS 1; L ND; B 10 10 0 0; 94 leaf 0 0; DF;\n";
+    for (i = 2; i <= n; i++)
+        printf "DS %d; C %d; DF;\n", i, i - 1;
+    printf "C %d; E\n", n;
+}' > "$chain_dir/chain.cif"
+status=0
+target/release/acelint "$chain_dir/chain.cif" > /dev/null 2>&1 || status=$?
+rm -r "$chain_dir"
+if [ "$status" -ge 128 ]; then
+    echo "acelint aborted on a 300,000-level hierarchy (exit $status)" >&2
+    exit 1
+fi
 
 echo "==> DRC oracle fuzz (seed 1983, 64 cases)"
 # The sweep checker must match the brute-force coordinate-compression
